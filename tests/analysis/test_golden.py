@@ -41,6 +41,9 @@ def golden_artifacts(
         )
     )
     artifacts.update(golden_regen.render_h3_artifacts(h3_golden_study))
+    artifacts.update(golden_regen.render_twin_artifacts(
+        golden_study, faulted_golden_study, h3_golden_study
+    ))
     return artifacts
 
 

@@ -6,7 +6,9 @@ output, then review the diff like any other code change:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 The snapshots pin the rendered headline statistics, every table
-(1-12) and the study digest for ``StudyConfig(seed=7, n_sites=120)``.
+(1-12) and the study digest for ``StudyConfig(seed=7, n_sites=120)``,
+plus the rendered ``repro resilience`` (chaos vs. clean) and ``repro
+h3`` (broad vs. clean) twin reports at the same scale.
 ``tests/analysis/test_golden.py`` diffs live output against them, so an
 unintentional behaviour change in any pipeline layer — ecosystem
 generation, crawling, classification, aggregation, rendering — fails
@@ -99,14 +101,31 @@ def render_h3_artifacts(h3_study) -> dict[str, str]:
     return {"h3_digest.txt": study_digest(h3_study) + "\n"}
 
 
+def render_twin_artifacts(study, faulted_study, h3_study) -> dict[str, str]:
+    """The differential-twin reports: each variant study diffed against
+    the clean golden study, exactly as ``repro resilience`` and ``repro
+    h3`` print them."""
+    from repro.analysis.h3 import h3_report
+    from repro.analysis.resilience import resilience_report
+
+    return {
+        "resilience_report.txt":
+            resilience_report(study, faulted_study).render() + "\n",
+        "h3_report.txt": h3_report(study, h3_study).render() + "\n",
+    }
+
+
 def main() -> int:
     from repro.analysis.study import Study
     from repro.evolve import run_longitudinal
 
     study = Study.run(golden_config())
+    faulted_study = Study.run(faulted_config())
+    h3_study = Study.run(h3_config())
     artifacts = render_artifacts(study)
-    artifacts.update(render_faulted_artifacts(Study.run(faulted_config())))
-    artifacts.update(render_h3_artifacts(Study.run(h3_config())))
+    artifacts.update(render_faulted_artifacts(faulted_study))
+    artifacts.update(render_h3_artifacts(h3_study))
+    artifacts.update(render_twin_artifacts(study, faulted_study, h3_study))
     longitudinal = run_longitudinal(
         golden_config(), policy=LONGITUDINAL_POLICY,
         epochs=LONGITUDINAL_EPOCHS,

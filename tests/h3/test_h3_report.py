@@ -1,4 +1,5 @@
-"""The ``repro h3`` analysis layer (:mod:`repro.analysis.h3`)."""
+"""The twin reports: `repro h3` (:mod:`repro.analysis.h3`), plus the input
+validation it shares with `repro resilience`."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.h3 import h3_report
+from repro.analysis.resilience import resilience_report
 
 pytestmark = pytest.mark.slow
 
@@ -49,17 +51,28 @@ class TestH3Report:
             assert int(row[1]) > 0  # sites estimated
 
 
-class TestInputValidation:
-    def test_baseline_must_be_profile_none(self, h3_golden_study):
-        with pytest.raises(ValueError, match="expected 'none'"):
-            h3_report(h3_golden_study, h3_golden_study)
+#: Each twin report with its variant fixture and the axis it varies.
+_TWIN_REPORTS = [
+    pytest.param(h3_report, "h3_golden_study", "h3_profile", id="h3"),
+    pytest.param(resilience_report, "faulted_golden_study", "fault_profile",
+                 id="resilience"),
+]
 
-    def test_configs_must_match_beyond_h3_profile(self, golden_study,
-                                                  h3_golden_study):
+
+@pytest.mark.parametrize("report, variant_fixture, axis", _TWIN_REPORTS)
+class TestInputValidation:
+    def test_baseline_must_be_profile_none(self, request, report,
+                                           variant_fixture, axis):
+        variant = request.getfixturevalue(variant_fixture)
+        with pytest.raises(ValueError, match="expected 'none'"):
+            report(variant, variant)
+
+    def test_configs_must_match_beyond_the_axis(self, request, golden_study,
+                                                report, variant_fixture,
+                                                axis):
+        variant = request.getfixturevalue(variant_fixture)
         mismatched = replace(
-            h3_golden_study, config=replace(
-                h3_golden_study.config, n_sites=99
-            )
+            variant, config=replace(variant.config, n_sites=99)
         )
-        with pytest.raises(ValueError, match="differ beyond h3_profile"):
-            h3_report(golden_study, mismatched)
+        with pytest.raises(ValueError, match=f"differ beyond {axis}"):
+            report(golden_study, mismatched)

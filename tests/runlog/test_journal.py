@@ -196,5 +196,13 @@ class TestRunId:
                         fault_profile="worker-crash")
         )
 
+    def test_pinned_value(self):
+        # Fields hash by name and declaration order: a reordered or
+        # renamed StudyConfig field moves every run id and orphans
+        # every existing journal and cache entry.
+        assert run_id(StudyConfig(seed=7, n_sites=120)) == (
+            "8ded979a6ce7d72f53e01ea1c9341505"
+        )
+
     def test_journal_dir_is_cache_scoped(self, tmp_path):
         assert journal_dir(tmp_path) == tmp_path / "runs"
