@@ -48,7 +48,12 @@ def quantile(values: Sequence[float], q: float) -> float:
     lower = int(position)
     upper = min(lower + 1, len(ordered) - 1)
     fraction = position - lower
-    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
+    low, high = ordered[lower], ordered[upper]
+    # The lerp can round outside its endpoints (subnormals underflow to
+    # 0.0, near-max magnitudes overflow), so clamp it back between them.
+    # ``low + (high - low) * fraction`` is no fix: ``high - low``
+    # itself overflows for endpoints of opposite sign near the limit.
+    return min(max(low * (1 - fraction) + high * fraction, low), high)
 
 
 def median(values: Sequence[float]) -> float:

@@ -56,11 +56,19 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile([1], 1.5)
 
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
-                              min_value=-1e9, max_value=1e9), min_size=1))
-    def test_within_bounds(self, values):
-        result = median(values)
-        assert min(values) <= result <= max(values)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_within_bounds(self, values, q):
+        # All finite floats: subnormals and +-1.7e308 included.
+        assert min(values) <= quantile(values, q) <= max(values)
+        assert min(values) <= median(values) <= max(values)
+
+    @pytest.mark.parametrize("values", [
+        [5e-324, 5e-324], [-1.7e308, 1.7e308], [1.7e308, 1.7e308],
+    ])
+    def test_extreme_endpoints(self, values):
+        assert min(values) <= median(values) <= max(values)
 
 
 class TestCounterToSeries:
