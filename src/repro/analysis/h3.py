@@ -25,9 +25,10 @@ oranges inputs instead of rendering misleading deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.analysis.study import Study
+from repro.analysis.twin import TwinResult, pp
 from repro.core.causes import Cause
 from repro.perf.whatif import WhatIfResult, whatif_site
 from repro.util.formatting import align_table
@@ -35,31 +36,18 @@ from repro.util.formatting import align_table
 __all__ = ["H3Result", "h3_report"]
 
 
-def _pp(delta: float) -> str:
-    """A signed percentage-point delta cell (never renders "-0.0")."""
-    value = round(delta * 100, 1) + 0.0
-    return f"{value:+.1f} pp"
-
-
 @dataclass(frozen=True)
-class H3Result:
+class H3Result(TwinResult):
     """The rendered-ready diff of one h3-rollout study against baseline."""
+
+    axis = "h3_profile"
+    variant_label = "h3"
+    cause = "rollout"
 
     baseline: Study
     h3: Study
 
-    @property
-    def profile_name(self) -> str:
-        return self.h3.config.h3_profile
-
     # ------------------------------------------------------------------
-    def shared_datasets(self) -> list[str]:
-        """Dataset keys present in both studies, baseline order."""
-        return [
-            name for name in self.baseline.datasets
-            if name in self.h3.datasets
-        ]
-
     def protocol_rows(self) -> list[list[str]]:
         rows = []
         for name in self.shared_datasets():
@@ -95,7 +83,7 @@ class H3Result:
                 str(h3.redundant_connections),
                 f"{base_share:.1%}",
                 f"{h3_share:.1%}",
-                _pp(h3_share - base_share),
+                pp(h3_share - base_share),
             ])
         return rows
 
@@ -190,19 +178,7 @@ class H3Result:
                         "Total saved", "Rel. saving"],
             ),
         ]
-        # Degraded coverage (quarantined shards) would silently bias
-        # every delta above, so a partial run is called out explicitly.
-        for label, study in (
-            ("baseline", self.baseline), ("h3", self.h3)
-        ):
-            coverage = study.coverage
-            if coverage is not None and not coverage.complete:
-                parts += [
-                    "",
-                    f"Coverage caveat: {label} run is "
-                    f"{coverage.describe()}",
-                ]
-        return "\n".join(parts)
+        return "\n".join(parts + self.coverage_caveats())
 
 
 def h3_report(baseline: Study, h3: Study) -> H3Result:
@@ -212,16 +188,4 @@ def h3_report(baseline: Study, h3: Study) -> H3Result:
     ``h3_profile="none"``; anything else would attribute ordinary
     configuration drift to the rollout.
     """
-    if baseline.config.h3_profile != "none":
-        raise ValueError(
-            f"baseline study runs h3 profile "
-            f"{baseline.config.h3_profile!r}, expected 'none'"
-        )
-    if replace(baseline.config, h3_profile="none") != replace(
-        h3.config, h3_profile="none"
-    ):
-        raise ValueError(
-            "baseline and h3 studies differ beyond h3_profile; "
-            "their deltas would not be attributable to the rollout"
-        )
-    return H3Result(baseline=baseline, h3=h3)
+    return H3Result.of(baseline, h3)

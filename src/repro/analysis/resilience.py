@@ -22,40 +22,28 @@ oranges inputs instead of rendering misleading deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.analysis.study import Study
+from repro.analysis.twin import TwinResult, pp
 from repro.core.causes import Cause
 from repro.util.formatting import align_table
 
 __all__ = ["ResilienceResult", "resilience_report"]
 
 
-def _pp(delta: float) -> str:
-    """A signed percentage-point delta cell (never renders "-0.0")."""
-    value = round(delta * 100, 1) + 0.0
-    return f"{value:+.1f} pp"
-
-
 @dataclass(frozen=True)
-class ResilienceResult:
+class ResilienceResult(TwinResult):
     """The rendered-ready diff of one faulted study against baseline."""
+
+    axis = "fault_profile"
+    variant_label = "faulted"
+    cause = "faults"
 
     baseline: Study
     faulted: Study
 
-    @property
-    def profile_name(self) -> str:
-        return self.faulted.config.fault_profile
-
     # ------------------------------------------------------------------
-    def shared_datasets(self) -> list[str]:
-        """Dataset keys present in both studies, baseline order."""
-        return [
-            name for name in self.baseline.datasets
-            if name in self.faulted.datasets
-        ]
-
     def reuse_rows(self) -> list[list[str]]:
         rows = []
         for name in self.shared_datasets():
@@ -77,7 +65,7 @@ class ResilienceResult:
                 str(fault.redundant_connections),
                 f"{base_share:.1%}",
                 f"{fault_share:.1%}",
-                _pp(fault_share - base_share),
+                pp(fault_share - base_share),
             ])
         return rows
 
@@ -166,19 +154,7 @@ class ResilienceResult:
                 header=["Metric", "Baseline", "Faulted"],
             ),
         ]
-        # Degraded coverage (quarantined shards) would silently bias
-        # every delta above, so a partial run is called out explicitly.
-        for label, study in (
-            ("baseline", self.baseline), ("faulted", self.faulted)
-        ):
-            coverage = study.coverage
-            if coverage is not None and not coverage.complete:
-                parts += [
-                    "",
-                    f"Coverage caveat: {label} run is "
-                    f"{coverage.describe()}",
-                ]
-        return "\n".join(parts)
+        return "\n".join(parts + self.coverage_caveats())
 
 
 def resilience_report(baseline: Study, faulted: Study) -> ResilienceResult:
@@ -188,16 +164,4 @@ def resilience_report(baseline: Study, faulted: Study) -> ResilienceResult:
     ``fault_profile="none"``; anything else would attribute ordinary
     configuration drift to the fault engine.
     """
-    if baseline.config.fault_profile != "none":
-        raise ValueError(
-            f"baseline study runs fault profile "
-            f"{baseline.config.fault_profile!r}, expected 'none'"
-        )
-    if replace(baseline.config, fault_profile="none") != replace(
-        faulted.config, fault_profile="none"
-    ):
-        raise ValueError(
-            "baseline and faulted studies differ beyond fault_profile; "
-            "their deltas would not be attributable to the faults"
-        )
-    return ResilienceResult(baseline=baseline, faulted=faulted)
+    return ResilienceResult.of(baseline, faulted)

@@ -20,7 +20,7 @@ small Study per session and reuse it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 
 from repro.crawl.alexa import AlexaCrawler, AlexaRun
@@ -29,9 +29,11 @@ from repro.crawl.httparchive import HarCorpus, HttpArchiveCrawler
 from repro.crawl.overlap import overlap_datasets
 from repro.crawl.shards import pending_items
 from repro.core.session import LifetimeModel
-from repro.evolve.policy import evolution_policy
+from repro.evolve.policy import evolution_policy, policy_names
 from repro.faults.plan import fault_profile, merge_counts
+from repro.faults.plan import profile_names as fault_profile_names
 from repro.h3.plan import h3_profile
+from repro.h3.plan import profile_names as h3_profile_names
 from repro.dnsstudy.study import DnsLoadBalancingStudy, DnsStudyResult
 from repro.runlog import RunContext, RunCoverage
 from repro.runtime import (
@@ -45,7 +47,13 @@ from repro.runtime import (
 from repro.store import StudyCache
 from repro.web.ecosystem import Ecosystem, EcosystemConfig
 
-__all__ = ["StudyConfig", "Study", "DATASET_LABELS"]
+__all__ = [
+    "StudyConfig",
+    "Study",
+    "DATASET_LABELS",
+    "EXECUTION_ONLY",
+    "TEXT_PARSERS",
+]
 
 #: Paper-facing names of the Table 1 dataset columns.
 DATASET_LABELS: dict[str, str] = {
@@ -62,64 +70,173 @@ DATASET_LABELS: dict[str, str] = {
 _ALEXA_VARIANTS = ("fetch", "nofetch")
 
 
+def _axis(default=MISSING, *, default_factory=MISSING, flag=None, help="",
+          names=None, lookup=None, execution_only=False, server_owned=False,
+          cache_exempt=None):
+    """A :class:`StudyConfig` field and everything its consumers derive.
+
+    ``flag``/``help`` declare its shared CLI flag (``{names}`` in the
+    help lists the ``names()`` registry); ``lookup`` resolves a
+    registered name, raising ``ValueError`` on unknowns.
+    ``execution_only`` fields change how a study runs, never what it
+    computes: run ids normalise them away, and HTTP clients may set
+    neither them nor a ``server_owned`` field.  ``cache_exempt`` says
+    why no cache key hashes the field; the ``cache-key`` lint reads it
+    from the source, so it must be a string literal.
+    """
+    return field(default=default, default_factory=default_factory, metadata={
+        "flag": flag, "help": help, "names": names, "lookup": lookup,
+        "execution_only": execution_only, "server_owned": server_owned,
+        "cache_exempt": cache_exempt,
+    })
+
+
+def _plus_tuple(text: str) -> tuple[str, ...]:
+    return tuple(part for part in text.split("+") if part)
+
+
+#: How a field's value reads from command-line text, by its type
+#: annotation; tuple elements join with ``+`` (``fetch+nofetch``).
+TEXT_PARSERS = {
+    "int": int, "int | None": int, "float": float, "str": str,
+    "tuple[str, ...]": _plus_tuple,
+}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    """Scale and seed of one full reproduction run."""
+    """Scale and seed of one full reproduction run.
 
-    seed: int = 7
-    n_sites: int = 1200
+    Each field's declaration is the only description of its axis: the
+    CLI flags, the HTTP request schema, the ``--grid`` parsers, run-id
+    normalisation and the ``cache-key`` lint all derive from it.
+    Fields hash by name and declaration order (see
+    :func:`repro.store.stable_key`), so never rename or reorder one.
+    """
+
+    seed: int = _axis(7)
+    n_sites: int = _axis(1200)
     #: Share of the universe whose top ranks form the Alexa list.
-    alexa_share: float = 0.30
+    alexa_share: float = _axis(0.30, cache_exempt=(
+        "consumed via the Alexa domain list: it selects the top-N "
+        "domains, and every shard key hashes the shard's domains"
+    ))
     #: Sampling share of the universe the HTTP Archive crawls.
-    ha_sample_share: float = 0.85
+    ha_sample_share: float = _axis(0.85, cache_exempt=(
+        "consumed via the HTTP Archive sample: it draws the crawl's "
+        "domain list, and every shard key hashes the shard's domains"
+    ))
     #: Simulated duration of the DNS study.
-    dns_study_days: float = 2.0
-    ecosystem_overrides: dict = field(default_factory=dict)
-    #: Execution substrate for the per-site pipeline stages: "serial",
-    #: "thread" or "process", optionally with a worker count
-    #: ("process:8").  Results are executor-independent by construction;
-    #: only wall-clock time changes.
-    executor: str = "serial"
+    dns_study_days: float = _axis(2.0, cache_exempt=(
+        "the Appendix A.4 DNS study is computed on demand and never "
+        "stored in the StudyCache"
+    ))
+    #: Raw :class:`EcosystemConfig` overrides; an escape hatch for
+    #: library callers that ``repro serve`` keeps for its operator.
+    ecosystem_overrides: dict = _axis(default_factory=dict, server_owned=True)
+    #: Execution substrate for the per-site pipeline stages.
+    executor: str = _axis(
+        "serial", flag="--executor", execution_only=True,
+        help="execution substrate: serial, thread or process, "
+             "optionally with workers (e.g. process:8)",
+        cache_exempt=(
+            "execution substrate only; digests are executor-independent "
+            "by construction (pinned by the serial/thread/process golden "
+            "suite)"
+        ),
+    )
     #: Worker count for pool executors (None: picked per machine).
-    parallelism: int | None = None
+    parallelism: int | None = _axis(
+        None, flag="--jobs", execution_only=True,
+        help="worker count for thread/process executors",
+        cache_exempt=(
+            "worker count for the executor; affects wall clock only, like "
+            "`executor`"
+        ),
+    )
     #: Lifetime models the HAR corpus is classified under (dataset
     #: ``har-<model>`` each); a sweep axis for the §4.1 model ablation.
-    har_models: tuple[str, ...] = ("endless", "immediate")
+    har_models: tuple[str, ...] = _axis(
+        ("endless", "immediate"),
+        cache_exempt=(
+            "selects which per-dataset classification keys exist; each "
+            "classify key hashes its own (model, dataset-name) pair"
+        ),
+    )
     #: Which Alexa browser variants are crawled: "fetch" (the
     #: Fetch-compliant run) and/or "nofetch" (privacy-mode patched,
     #: §5.3.3); a sweep axis for the Fetch toggle.
-    alexa_variants: tuple[str, ...] = ("fetch", "nofetch")
+    alexa_variants: tuple[str, ...] = _axis(
+        ("fetch", "nofetch"),
+        cache_exempt=(
+            "selects which crawl runs exist; each run's shard keys hash "
+            "the run name and browser-patch knobs"
+        ),
+    )
     #: Named fault profile injected into every crawl visit (see
     #: :mod:`repro.faults`); a first-class sweep/cache axis.  The
     #: default ``"none"`` compiles to no plan at all, leaving every
     #: layer on its pre-fault code path (the golden digest pins this).
-    fault_profile: str = "none"
+    fault_profile: str = _axis(
+        "none", flag="--fault-profile",
+        names=fault_profile_names, lookup=fault_profile,
+        help="named fault scenario injected into every crawl visit: "
+             "{names} (see repro.faults)",
+    )
     #: How many churn epochs of ``evolution_policy`` the world is
     #: advanced through before measuring (see :mod:`repro.evolve`); a
     #: first-class study/sweep/cache axis.  0 measures the pristine
     #: world every pre-evolution study saw (the golden digest pins it).
-    epochs: int = 0
+    epochs: int = _axis(
+        0, flag="--epochs",
+        help="advance the world through this many churn epochs of "
+             "--evolution-policy before measuring (see repro.evolve)",
+    )
     #: Named ecosystem-churn policy for the evolution epochs; the
     #: default ``"none"`` never enters the evolution engine at all.
-    evolution_policy: str = "none"
+    evolution_policy: str = _axis(
+        "none", flag="--evolution-policy",
+        names=policy_names, lookup=evolution_policy,
+        help="named ecosystem-churn policy evolving the world per "
+             "epoch: {names} (see repro.evolve)",
+    )
     #: Named alt-svc/HTTP-3 adoption profile for the generated world
     #: (see :mod:`repro.h3`); a first-class study/sweep/cache axis.
     #: The default ``"none"`` compiles to no plan at all, leaving the
     #: world and every browser on their pre-h3 code paths (the clean
     #: golden digest pins this).
-    h3_profile: str = "none"
-    #: How many deterministic site shards each crawl/classification
-    #: stage is partitioned into (see :mod:`repro.crawl.shards`).  A
-    #: site's shard is a hash of the domain alone, and per-shard
-    #: artefacts cache under per-site-set keys, so sharded studies
-    #: recompute incrementally — including across evolution epochs,
-    #: where only ledger-touched shards recrawl.  Output is
-    #: shard-count-invariant: the N-shard fold digests byte-identical
-    #: to the 1-shard (monolithic) study.
-    shards: int = 1
+    h3_profile: str = _axis(
+        "none", flag="--h3-profile",
+        names=h3_profile_names, lookup=h3_profile,
+        help="named HTTP/3 alt-svc adoption profile for the synthetic "
+             "world: {names}, or adopt-<fraction> (see repro.h3)",
+    )
+    #: Site shards per crawl/classification stage (see
+    #: :mod:`repro.crawl.shards`).  A site's shard hashes its domain
+    #: alone and shard artefacts cache per site set, so sharded studies
+    #: recompute incrementally: evolution epochs recrawl only the
+    #: shards their ledger touched.
+    shards: int = _axis(
+        1, flag="--shards",
+        help="partition each crawl into this many deterministic site "
+             "shards, cached and recomputed independently (output is "
+             "shard-count-invariant; see repro.crawl.shards)",
+        cache_exempt=(
+            "partitioning knob: each shard key hashes its member domains "
+            "and schedule slots, and the N-shard fold is "
+            "shard-count-invariant (pinned by goldens for N in {1,2,3,7})"
+        ),
+    )
 
-    def make_executor(self) -> "Executor":
-        return make_executor(self.executor, self.parallelism)
+    def make_executor(self, task_timeout: float | None = None) -> "Executor":
+        return make_executor(
+            self.executor, self.parallelism, task_timeout=task_timeout
+        )
+
+    def without_execution(self) -> "StudyConfig":
+        """This config with its execution-only fields at their defaults:
+        the same study, however it is run."""
+        return replace(self, **_EXECUTION_DEFAULTS)
 
     def ecosystem_config(self) -> EcosystemConfig:
         return EcosystemConfig(
@@ -154,9 +271,8 @@ class StudyConfig:
             raise ValueError(
                 f"duplicate alexa_variants in {self.alexa_variants!r}"
             )
-        fault_profile(self.fault_profile)  # raises ValueError on unknowns
-        evolution_policy(self.evolution_policy)  # raises on unknowns
-        h3_profile(self.h3_profile)  # raises ValueError on unknowns
+        for name, lookup in _LOOKUPS:
+            lookup(getattr(self, name))  # raises ValueError on unknowns
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.shards < 1:
@@ -183,6 +299,19 @@ class StudyConfig:
             dns_study_days=0.25,
             ecosystem_overrides=dict(self.ecosystem_overrides),
         )
+
+
+_EXECUTION_DEFAULTS = {
+    spec.name: spec.default for spec in fields(StudyConfig)
+    if spec.metadata["execution_only"]
+}
+#: Fields that change how a study runs, never what it computes.
+EXECUTION_ONLY = frozenset(_EXECUTION_DEFAULTS)
+#: (field, registry lookup) for every field naming a registered profile.
+_LOOKUPS = tuple(
+    (spec.name, spec.metadata["lookup"]) for spec in fields(StudyConfig)
+    if spec.metadata["lookup"] is not None
+)
 
 
 @dataclass

@@ -34,45 +34,56 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import fields, replace
+from functools import partial
+
+from repro.analysis.h3 import h3_report
+from repro.analysis.resilience import resilience_report
+from repro.analysis.study import EXECUTION_ONLY, TEXT_PARSERS, StudyConfig
 
 __all__ = ["build_parser", "main"]
 
+#: The StudyConfig fields every study-running command takes a flag
+#: for, by flag; each flag's default, parser and help come from the
+#: field's declaration.
+_FLAGS = {
+    spec.metadata["flag"]: spec for spec in fields(StudyConfig)
+    if spec.metadata["flag"] is not None
+}
 
-def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
-    """Executor/cache knobs shared by every study-running command."""
+
+class _UsageError(Exception):
+    """Bad command-line input: reported as ``error: ...``, exit 2."""
+
+
+def _add_runtime_args(
+    parser: argparse.ArgumentParser, *, aliases=None, defaults=None
+) -> None:
+    """Study-axis, executor and cache knobs shared by every study-running
+    command; ``aliases``/``defaults`` are keyed by a study flag."""
+    aliases, defaults = aliases or {}, defaults or {}
     # SUPPRESS: only overwrite the root parser's --seed when the flag
     # is actually given after the subcommand.
     parser.add_argument(
         "--seed", type=int, default=argparse.SUPPRESS,
         help="root seed (equivalent to the pre-subcommand --seed)",
     )
-    parser.add_argument(
-        "--executor", default="serial",
-        help="execution substrate: serial, thread or process, "
-             "optionally with workers (e.g. process:8)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker count for thread/process executors",
-    )
+    for flag, spec in _FLAGS.items():
+        names = spec.metadata["names"]
+        parser.add_argument(
+            flag, *aliases.get(flag, ()), dest=spec.name,
+            metavar=flag[2:].upper().replace("-", "_"),
+            type=TEXT_PARSERS[spec.type],
+            default=defaults.get(flag, spec.default),
+            help=spec.metadata["help"].format(
+                names=", ".join(names()) if names else ""
+            ),
+        )
     parser.add_argument(
         "--cache-dir", default=None,
         help="content-addressed stage cache directory; identical crawl "
              "and classification configs load from disk instead of "
              "recomputing (see repro.store)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="partition each crawl into this many deterministic site "
-             "shards, cached and recomputed independently (output is "
-             "shard-count-invariant; see repro.crawl.shards)",
-    )
-    parser.add_argument(
-        "--fault-profile", default="none",
-        help="named fault scenario injected into every crawl visit: "
-             "none, flaky-dns, broken-tls, h2-churn, slow-origin, "
-             "chaos, or the task-level worker-crash, worker-poison, "
-             "cache-rot (see repro.faults)",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -92,72 +103,74 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
              "that completes no new work for this many seconds "
              "(default: wait forever)",
     )
-    parser.add_argument(
-        "--epochs", type=int, default=0,
-        help="advance the world through this many churn epochs of "
-             "--evolution-policy before measuring (see repro.evolve)",
-    )
-    parser.add_argument(
-        "--evolution-policy", default="none",
-        help="named ecosystem-churn policy evolving the world per "
-             "epoch: none, cert-rotation, dns-churn, cdn-migration, "
-             "shard-consolidation, h3-rollout or mixed (see repro.evolve)",
-    )
-    parser.add_argument(
-        "--h3-profile", default="none",
-        help="named HTTP/3 alt-svc adoption profile for the synthetic "
-             "world: none, cdn-first, broad, or adopt-<fraction> "
-             "(see repro.h3)",
-    )
 
 
-def _cache_from_args(args):
-    if getattr(args, "cache_dir", None) is None:
-        return None
-    from repro.store import StudyCache
+def _config_from_args(args, **overrides) -> StudyConfig:
+    """The study the common flags describe, with ``overrides`` applied."""
+    values = {spec.name: getattr(args, spec.name) for spec in _FLAGS.values()}
+    return StudyConfig(**{
+        "seed": args.seed, "n_sites": args.sites, **values, **overrides,
+    })
 
-    return StudyCache(args.cache_dir)
+
+def _prelude(args, **overrides):
+    """The command's validated config, and what its studies share: the
+    executor (armed with ``--task-timeout``) and the cache.
+
+    Raises :class:`_UsageError` on bad flags.
+    """
+    config = _config_from_args(args, **overrides)
+    cache = None
+    if args.cache_dir is not None:
+        from repro.store import StudyCache
+
+        cache = StudyCache(args.cache_dir)
+    elif args.resume:
+        raise _UsageError("--resume requires --cache-dir (the journal "
+                          "lives under the cache)")
+    try:
+        config.validate()
+        executor = config.make_executor(task_timeout=args.task_timeout)
+    except ValueError as error:
+        raise _UsageError(error) from None
+    return config, executor, cache
+
+
+def _flag_value(config: StudyConfig, flag: str):
+    """What ``config`` holds for a study flag's field."""
+    return getattr(config, _FLAGS[flag].name)
+
+
+def _required(args, config: StudyConfig, flag: str):
+    """The value of a study flag the command cannot do without.
+
+    Raises :class:`_UsageError` while the flag's field is still at its
+    default (the baseline every such command compares against).
+    """
+    value = _flag_value(config, flag)
+    if value == _FLAGS[flag].default:
+        names = _FLAGS[flag].metadata["names"]()
+        raise _UsageError(
+            f"{args.command} needs {flag} (e.g. "
+            f"{', '.join(name for name in names if name != value)})"
+        )
+    return value
 
 
 def _study_from_args(args):
     """Run the full study as configured by the common CLI flags."""
-    from repro.analysis.study import Study, StudyConfig
-    from repro.runtime import StageTimings, make_executor, null_timings
+    from repro.analysis.study import Study
+    from repro.runtime import StageTimings, null_timings
 
     timings = (
         StageTimings(memory=True) if getattr(args, "profile", False)
         else null_timings()
     )
-    config = StudyConfig(
-        seed=args.seed,
-        n_sites=args.sites,
-        executor=args.executor,
-        parallelism=args.jobs,
-        fault_profile=getattr(args, "fault_profile", "none"),
-        epochs=getattr(args, "epochs", 0),
-        evolution_policy=getattr(args, "evolution_policy", "none"),
-        h3_profile=getattr(args, "h3_profile", "none"),
-        shards=getattr(args, "shards", 1),
-    )
-    cache = _cache_from_args(args)
-    resume = getattr(args, "resume", False)
-    if resume and cache is None:
-        print("error: --resume requires --cache-dir (the journal lives "
-              "under the cache)", file=sys.stderr)
-        raise SystemExit(2)
-    try:
-        config.validate()
-        executor = make_executor(
-            config.executor, config.parallelism,
-            task_timeout=getattr(args, "task_timeout", None),
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        raise SystemExit(2)
+    config, executor, cache = _prelude(args)
     with executor:
         study = Study.run(
             config, executor=executor, timings=timings, cache=cache,
-            resume=resume, strict=getattr(args, "strict", False),
+            resume=args.resume, strict=args.strict,
         )
     if study.coverage is not None and not study.coverage.complete:
         print(f"warning: run is {study.coverage.describe()}; results "
@@ -259,15 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
              "reuse-opportunity half-life)",
     )
     evolve.add_argument("--sites", type=int, default=200)
-    evolve.add_argument(
-        "--policy", default=None,
-        help="named evolution policy: cert-rotation, dns-churn, "
-             "cdn-migration, shard-consolidation or mixed",
-    )
-    _add_runtime_args(evolve)
     # For evolve, --epochs is the longitudinal horizon, not a world
     # offset; default to a 5-epoch sequence (0 = baseline study only).
-    evolve.set_defaults(epochs=5)
+    _add_runtime_args(
+        evolve, aliases={"--evolution-policy": ("--policy",)},
+        defaults={"--epochs": 5},
+    )
 
     bench = commands.add_parser(
         "bench",
@@ -410,7 +420,6 @@ def _cmd_study(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.analysis.robustness import robustness_report
-    from repro.analysis.study import StudyConfig
     from repro.sweep import SweepSpec, run_sweep
 
     try:
@@ -418,36 +427,28 @@ def _cmd_sweep(args) -> int:
             int(part) for part in (args.seeds or str(args.seed)).split(",")
         )
     except ValueError:
-        print(f"error: bad --seeds {args.seeds!r}", file=sys.stderr)
-        return 2
-    base = StudyConfig(
-        seed=seeds[0],
-        n_sites=args.sites,
-        executor=args.executor,
-        parallelism=args.jobs,
-        fault_profile=args.fault_profile,
-        epochs=args.epochs,
-        evolution_policy=args.evolution_policy,
-        h3_profile=args.h3_profile,
-        shards=args.shards,
-    )
-    try:
-        spec = SweepSpec(
-            base=base, seeds=seeds, axes=SweepSpec.parse_axes(args.grid)
+        raise _UsageError(f"bad --seeds {args.seeds!r}") from None
+    base, executor, cache = _prelude(args, seed=seeds[0])
+    with executor:
+        try:
+            spec = SweepSpec(
+                base=base, seeds=seeds, axes=SweepSpec.parse_axes(args.grid)
+            )
+            spec.cells()  # expand eagerly so bad axis *values* exit cleanly
+        except ValueError as error:
+            raise _UsageError(error) from None
+        # A grid over how studies execute gives each cell its own
+        # executor, which the shared --task-timeout cannot reach.
+        per_cell = sorted(EXECUTION_ONLY & {name for name, _ in spec.axes})
+        if per_cell and args.task_timeout is not None:
+            raise _UsageError(
+                f"--task-timeout needs one shared executor, but the grid "
+                f"varies {', '.join(per_cell)}"
+            )
+        result = run_sweep(
+            spec, cache=cache, executor=None if per_cell else executor,
+            progress=print, resume=args.resume, strict=args.strict,
         )
-        spec.cells()  # expand eagerly so bad axis *values* also exit cleanly
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    cache = _cache_from_args(args)
-    if args.resume and cache is None:
-        print("error: --resume requires --cache-dir (the journals live "
-              "under the cache)", file=sys.stderr)
-        return 2
-    result = run_sweep(
-        spec, cache=cache, progress=print,
-        resume=args.resume, strict=args.strict,
-    )
     print()
     print(robustness_report(result))
     if args.profile:
@@ -544,134 +545,39 @@ def _cmd_validate(args) -> int:
     return 0 if scorecard.all_passed else 1
 
 
-def _cmd_resilience(args) -> int:
-    from dataclasses import replace
+def _cmd_twin(args, *, flag: str, report) -> int:
+    """Run the study ``flag`` varies and its baseline twin (the flag at
+    its default), and print ``report``'s diff of the two."""
+    from repro.analysis.study import Study
 
-    from repro.analysis.resilience import resilience_report
-    from repro.analysis.study import Study, StudyConfig
-
-    if args.fault_profile == "none":
-        print("error: resilience needs --fault-profile (e.g. flaky-dns, "
-              "broken-tls, h2-churn, slow-origin, chaos)", file=sys.stderr)
-        return 2
-    faulted_config = StudyConfig(
-        seed=args.seed,
-        n_sites=args.sites,
-        executor=args.executor,
-        parallelism=args.jobs,
-        fault_profile=args.fault_profile,
-        epochs=args.epochs,
-        evolution_policy=args.evolution_policy,
-        h3_profile=args.h3_profile,
-        shards=args.shards,
-    )
-    try:
-        faulted_config.validate()
-        executor = faulted_config.make_executor()
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    cache = _cache_from_args(args)
-    if args.resume and cache is None:
-        print("error: --resume requires --cache-dir (the journals live "
-              "under the cache)", file=sys.stderr)
-        return 2
+    config, executor, cache = _prelude(args)
+    spec = _FLAGS[flag]
     with executor:
+        _required(args, config, flag)
         baseline = Study.run(
-            replace(faulted_config, fault_profile="none"),
+            replace(config, **{spec.name: spec.default}),
             executor=executor, cache=cache,
             resume=args.resume, strict=args.strict,
         )
-        faulted = Study.run(
-            faulted_config, executor=executor, cache=cache,
+        variant = Study.run(
+            config, executor=executor, cache=cache,
             resume=args.resume, strict=args.strict,
         )
-    print(resilience_report(baseline, faulted).render())
-    return 0
-
-
-def _cmd_h3(args) -> int:
-    from dataclasses import replace
-
-    from repro.analysis.h3 import h3_report
-    from repro.analysis.study import Study, StudyConfig
-
-    if args.h3_profile == "none":
-        print("error: h3 needs --h3-profile (e.g. cdn-first, broad, "
-              "adopt-0.25)", file=sys.stderr)
-        return 2
-    h3_config = StudyConfig(
-        seed=args.seed,
-        n_sites=args.sites,
-        executor=args.executor,
-        parallelism=args.jobs,
-        fault_profile=args.fault_profile,
-        epochs=args.epochs,
-        evolution_policy=args.evolution_policy,
-        h3_profile=args.h3_profile,
-        shards=args.shards,
-    )
-    try:
-        h3_config.validate()
-        executor = h3_config.make_executor()
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    cache = _cache_from_args(args)
-    if args.resume and cache is None:
-        print("error: --resume requires --cache-dir (the journals live "
-              "under the cache)", file=sys.stderr)
-        return 2
-    with executor:
-        baseline = Study.run(
-            replace(h3_config, h3_profile="none"),
-            executor=executor, cache=cache,
-            resume=args.resume, strict=args.strict,
-        )
-        h3_study = Study.run(
-            h3_config, executor=executor, cache=cache,
-            resume=args.resume, strict=args.strict,
-        )
-    print(h3_report(baseline, h3_study).render())
+    print(report(baseline, variant).render())
     return 0
 
 
 def _cmd_evolve(args) -> int:
-    from repro.analysis.study import StudyConfig
     from repro.evolve import run_longitudinal
 
-    # --policy is the canonical spelling; fall back to the shared
-    # --evolution-policy flag so both read naturally.
-    policy = args.policy or (
-        args.evolution_policy if args.evolution_policy != "none" else None
-    )
-    if policy is None or policy == "none":
-        print("error: evolve needs --policy (e.g. cert-rotation, dns-churn, "
-              "cdn-migration, shard-consolidation, mixed)", file=sys.stderr)
-        return 2
-    config = StudyConfig(
-        seed=args.seed,
-        n_sites=args.sites,
-        executor=args.executor,
-        parallelism=args.jobs,
-        fault_profile=args.fault_profile,
-        h3_profile=args.h3_profile,
-        shards=args.shards,
-    )
-    cache = _cache_from_args(args)
-    if args.resume and cache is None:
-        print("error: --resume requires --cache-dir (the journals live "
-              "under the cache)", file=sys.stderr)
-        return 2
-    try:
+    config, executor, cache = _prelude(args)
+    with executor:
         result = run_longitudinal(
-            config, policy=policy, epochs=args.epochs,
-            cache=cache, progress=print,
+            config, policy=_required(args, config, "--evolution-policy"),
+            epochs=_flag_value(config, "--epochs"),
+            executor=executor, cache=cache, progress=print,
             resume=args.resume, strict=args.strict,
         )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     print()
     print(result.render())
     return 0
@@ -703,28 +609,24 @@ def _cmd_bench(args) -> int:
         try:
             committed = load_bench(pipeline_path)
         except FileNotFoundError:
-            print(f"error: no committed {pipeline_path} to check against",
-                  file=sys.stderr)
-            return 2
+            raise _UsageError(
+                f"no committed {pipeline_path} to check against"
+            ) from None
         except CheckFailure as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+            raise _UsageError(error) from None
         fresh = run_pipeline_bench(args.check_scale, repeats=args.repeat)
         try:
             outcome = check_pipeline(fresh, committed,
                                      tolerance=args.tolerance)
         except CheckFailure as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+            raise _UsageError(error) from None
         print(render_check_report(outcome))
         return 0 if outcome.passed else 1
 
     scales = [part.strip() for part in args.scales.split(",") if part.strip()]
     unknown = [scale for scale in scales if scale not in SCALES]
     if unknown:
-        print(f"error: unknown scales {unknown}; pick from {sorted(SCALES)}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"unknown scales {unknown}; pick from {sorted(SCALES)}")
 
     if not args.hotpath:
         # Ascending size: ru_maxrss is a process-wide high-water mark,
@@ -799,17 +701,15 @@ def _cmd_serve(args) -> int:
     from repro.serve import StudyService, make_server
 
     if args.cache_dir is None:
-        print("error: serve needs --cache-dir (the cache is what makes "
-              "repeated requests instant)", file=sys.stderr)
-        return 2
+        raise _UsageError("serve needs --cache-dir (the cache is what makes "
+                          "repeated requests instant)")
     try:
         service = StudyService(
             args.cache_dir, executor=args.executor, jobs=args.jobs,
             max_inflight=args.max_inflight,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(error) from None
     server = make_server(
         service, host=args.host, port=args.port,
         request_timeout=args.request_timeout,
@@ -855,9 +755,8 @@ def _cmd_runs(args) -> int:
     from repro.runlog import list_runs, render_run_detail, render_runs
 
     if args.cache_dir is None:
-        print("error: runs needs --cache-dir (journals live under "
-              "<cache-dir>/runs/)", file=sys.stderr)
-        return 2
+        raise _UsageError("runs needs --cache-dir (journals live under "
+                          "<cache-dir>/runs/)")
     directory = Path(args.cache_dir)
     if args.run is not None:
         detail = render_run_detail(directory, args.run)
@@ -880,8 +779,10 @@ _COMMANDS = {
     "perf": _cmd_perf,
     "report": _cmd_report,
     "validate": _cmd_validate,
-    "resilience": _cmd_resilience,
-    "h3": _cmd_h3,
+    "resilience": partial(
+        _cmd_twin, flag="--fault-profile", report=resilience_report
+    ),
+    "h3": partial(_cmd_twin, flag="--h3-profile", report=h3_report),
     "evolve": _cmd_evolve,
     "bench": _cmd_bench,
     "lint": _cmd_lint,
@@ -895,6 +796,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # Ctrl-C mid-run is an expected, recoverable event, not a
         # crash: executor pools and run journals close on their way

@@ -6,7 +6,7 @@ their own rule instances with fixture-specific configuration.
 
 from __future__ import annotations
 
-from repro.lint.rules.cachekey import STUDY_CONFIG_EXEMPTIONS, CacheKeyRule
+from repro.lint.rules.cachekey import CacheKeyRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.sharedstate import SharedStateRule
 from repro.lint.rules.typederrors import TypedErrorsRule
@@ -15,7 +15,6 @@ __all__ = [
     "CacheKeyRule",
     "DeterminismRule",
     "SharedStateRule",
-    "STUDY_CONFIG_EXEMPTIONS",
     "TypedErrorsRule",
     "default_rules",
 ]

@@ -20,61 +20,23 @@ recognisable ways:
    actually reads ``config`` (the world identity); if that read
    disappears the routed fields all become findings.
 
-Everything else must be listed in the rule's exemption table with a
-justification (the table is part of the checked-in rule configuration;
-a stale entry — naming a field that no longer exists — is itself a
-finding, so the table cannot rot).
+Everything else must carry its exemption reason in its own declaration:
+a ``cache_exempt="<why>"`` string literal keyword anywhere in the
+field's default expression (``StudyConfig`` declares every field
+through a helper that takes it).  The reason lives and dies with its
+field, so no exemption can outlive the field it excuses.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.lint.engine import Project
 from repro.lint.findings import Finding
 
-__all__ = ["CacheKeyRule", "STUDY_CONFIG_EXEMPTIONS"]
-
-#: StudyConfig fields legitimately absent from every stage key, and why.
-#: Keep justifications load-bearing: they are rendered in ``repro lint
-#: --explain`` output (the docs quote them verbatim).
-STUDY_CONFIG_EXEMPTIONS: dict[str, str] = {
-    "executor": (
-        "execution substrate only; digests are executor-independent by "
-        "construction (pinned by the serial/thread/process golden suite)"
-    ),
-    "parallelism": (
-        "worker count for the executor; affects wall clock only, like "
-        "`executor`"
-    ),
-    "shards": (
-        "partitioning knob: each shard key hashes its member domains and "
-        "schedule slots, and the N-shard fold is shard-count-invariant "
-        "(pinned by goldens for N in {1,2,3,7})"
-    ),
-    "alexa_share": (
-        "consumed via the Alexa domain list: it selects the top-N "
-        "domains, and every shard key hashes the shard's domains"
-    ),
-    "ha_sample_share": (
-        "consumed via the HTTP Archive sample: it draws the crawl's "
-        "domain list, and every shard key hashes the shard's domains"
-    ),
-    "dns_study_days": (
-        "the Appendix A.4 DNS study is computed on demand and never "
-        "stored in the StudyCache"
-    ),
-    "har_models": (
-        "selects which per-dataset classification keys exist; each "
-        "classify key hashes its own (model, dataset-name) pair"
-    ),
-    "alexa_variants": (
-        "selects which crawl runs exist; each run's shard keys hash the "
-        "run name and browser-patch knobs"
-    ),
-}
+__all__ = ["CacheKeyRule"]
 
 
 @dataclass
@@ -104,9 +66,9 @@ class CacheKeyRule:
     #: The attribute a key function must read for router coverage to
     #: apply (the world-identity object cache_world_key hashes).
     router_witness: str = "config"
-    exemptions: dict[str, str] = field(
-        default_factory=lambda: dict(STUDY_CONFIG_EXEMPTIONS)
-    )
+    #: The keyword whose string literal, inside a field's declaration,
+    #: exempts the field and says why.
+    exemption_keyword: str = "cache_exempt"
 
     # ------------------------------------------------------------------
     def check(self, project: Project) -> Iterable[Finding]:
@@ -133,10 +95,8 @@ class CacheKeyRule:
             else frozenset()
         )
 
-        for name, line in fields:
-            if name in key_reads or name in router_reads:
-                continue
-            if name in self.exemptions:
+        for name, line, exempt in fields:
+            if exempt or name in key_reads or name in router_reads:
                 continue
             yield Finding(
                 path=self.config_rel, line=line, rule=self.rule_id,
@@ -147,17 +107,6 @@ class CacheKeyRule:
                     f"stale cache artefacts"
                 ),
             )
-        field_names = {name for name, _ in fields}
-        for name in sorted(self.exemptions):
-            if name not in field_names:
-                yield Finding(
-                    path=self.config_rel, line=config_def.lineno,
-                    rule=self.rule_id,
-                    message=(
-                        f"stale cache-key exemption: {self.config_class}."
-                        f"{name} no longer exists; delete the table entry"
-                    ),
-                )
 
     # ------------------------------------------------------------------
     def _class_def(self, tree: ast.Module) -> ast.ClassDef | None:
@@ -166,16 +115,23 @@ class CacheKeyRule:
                 return node
         return None
 
-    @staticmethod
-    def _fields(config_def: ast.ClassDef) -> list[tuple[str, int]]:
-        """(name, line) of every dataclass field of the config class."""
-        fields = []
-        for statement in config_def.body:
-            if isinstance(statement, ast.AnnAssign) and isinstance(
-                statement.target, ast.Name
-            ):
-                fields.append((statement.target.id, statement.lineno))
-        return fields
+    def _fields(self, config_def: ast.ClassDef) -> list[tuple[str, int, bool]]:
+        """(name, line, exempt) of every dataclass field of the config
+        class: exempt when its declaration gives a non-empty exemption
+        reason as a string literal."""
+        return [
+            (statement.target.id, statement.lineno, any(
+                isinstance(node, ast.keyword)
+                and node.arg == self.exemption_keyword
+                and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)
+                and node.value.value.strip() != ""
+                for node in ast.walk(statement)
+            ))
+            for statement in config_def.body
+            if isinstance(statement, ast.AnnAssign)
+            and isinstance(statement.target, ast.Name)
+        ]
 
     def _key_function_reads(self, project: Project) -> frozenset[str]:
         """Attribute names consumed by key derivations, project-wide.

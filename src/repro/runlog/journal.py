@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -50,15 +50,15 @@ RUNLOG_SCHEMA = 1
 def run_id(config: Any) -> str:
     """The journal identity of one study configuration.
 
-    A :func:`repro.store.stable_key` over the config with its execution
-    substrate normalised away: a run interrupted under ``process:8``
-    must resume under ``serial`` (or any other executor) against the
-    same journal, because executors never change study output.
+    A :func:`repro.store.stable_key` over the config with its
+    execution-only fields normalised away: a run interrupted under
+    ``process:8`` must resume under ``serial`` (or any other executor)
+    against the same journal, because executors never change study
+    output.
     """
     from repro.store import stable_key
 
-    normalised = replace(config, executor="serial", parallelism=None)
-    return stable_key("runlog", RUNLOG_SCHEMA, normalised)
+    return stable_key("runlog", RUNLOG_SCHEMA, config.without_execution())
 
 
 def journal_dir(cache_directory: str | os.PathLike) -> Path:

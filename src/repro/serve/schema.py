@@ -17,7 +17,7 @@ and digest as the equivalent ``repro study`` invocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 from repro.analysis.study import StudyConfig
@@ -107,28 +107,26 @@ def _str_tuple(value: Any) -> tuple[str, ...]:
     return tuple(value)
 
 
-#: Request-settable StudyConfig fields and their validators.
-_STUDY_FIELDS: dict[str, Callable[[Any], Any]] = {
-    "seed": _int,
-    "n_sites": _int,
-    "alexa_share": _float,
-    "ha_sample_share": _float,
-    "dns_study_days": _float,
-    "har_models": _str_tuple,
-    "alexa_variants": _str_tuple,
-    "fault_profile": _str,
-    "epochs": _int,
-    "evolution_policy": _str,
-    "h3_profile": _str,
-    "shards": _int,
+#: JSON validators by field type annotation.
+_VALIDATORS: dict[str, Callable[[Any], Any]] = {
+    "int": _int,
+    "float": _float,
+    "str": _str,
+    "tuple[str, ...]": _str_tuple,
 }
 
 #: StudyConfig fields a request may NOT set (see module docstring).
-_SERVER_OWNED = ("executor", "parallelism", "ecosystem_overrides")
+_OWNED = frozenset(
+    spec.name for spec in fields(StudyConfig)
+    if spec.metadata["execution_only"] or spec.metadata["server_owned"]
+)
 
-#: Fields sweepable via a request's ``axes`` — the study fields again;
-#: the substrate axes the CLI grid allows stay server-owned over HTTP.
-_AXIS_FIELDS = dict(_STUDY_FIELDS)
+#: Request-settable StudyConfig fields and their validators; a
+#: request's sweep ``axes`` draw from the same set.
+_SETTABLE = {
+    spec.name: _VALIDATORS[spec.type] for spec in fields(StudyConfig)
+    if spec.name not in _OWNED
+}
 
 
 def _check_schema(body: dict, errors: list[dict]) -> None:
@@ -147,25 +145,25 @@ def _check_schema(body: dict, errors: list[dict]) -> None:
 
 
 def _study_kwargs(
-    fields: dict, errors: list[dict], *, prefix: str = ""
+    values: dict, errors: list[dict], *, prefix: str = ""
 ) -> dict:
     """Validate study-config fields, appending every error found."""
     kwargs: dict = {}
-    for name, value in sorted(fields.items(), key=lambda item: item[0]):
+    for name, value in sorted(values.items(), key=lambda item: item[0]):
         label = f"{prefix}{name}"
-        if name in _SERVER_OWNED:
+        if name in _OWNED:
             errors.append({
                 "field": label,
                 "message": "server-owned; set via repro serve flags, "
                            "never per request",
             })
             continue
-        validator = _STUDY_FIELDS.get(name)
+        validator = _SETTABLE.get(name)
         if validator is None:
             errors.append({
                 "field": label,
                 "message": f"unknown field; settable fields: "
-                           f"{sorted(_STUDY_FIELDS)}",
+                           f"{sorted(_SETTABLE)}",
             })
             continue
         try:
@@ -189,7 +187,7 @@ def parse_study_request(body: Any) -> StudyRequest:
         }])
     errors: list[dict] = []
     _check_schema(body, errors)
-    fields = {
+    values = {
         name: value for name, value in body.items()
         if name not in ("schema", "resume")
     }
@@ -199,7 +197,7 @@ def parse_study_request(body: Any) -> StudyRequest:
             resume = _bool(body["resume"])
         except ValueError as error:
             errors.append({"field": "resume", "message": str(error)})
-    kwargs = _study_kwargs(fields, errors)
+    kwargs = _study_kwargs(values, errors)
     if errors:
         raise SchemaError(errors)
     config = StudyConfig(**kwargs)
@@ -273,12 +271,12 @@ def parse_sweep_request(body: Any) -> SweepRequest:
         raw_axes = {}
     for name, values in sorted(raw_axes.items(), key=lambda item: item[0]):
         label = f"axes.{name}"
-        validator = _AXIS_FIELDS.get(name)
+        validator = _SETTABLE.get(name)
         if validator is None:
             message = (
                 "server-owned; set via repro serve flags, never per request"
-                if name in _SERVER_OWNED else
-                f"not sweepable over HTTP; choose from {sorted(_AXIS_FIELDS)}"
+                if name in _OWNED else
+                f"not sweepable over HTTP; choose from {sorted(_SETTABLE)}"
             )
             errors.append({"field": label, "message": message})
             continue

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from repro.analysis.digest import study_digest
 from repro.analysis.headline import HeadlineStats, headline
-from repro.analysis.study import Study
+from repro.analysis.study import EXECUTION_ONLY, Study
 from repro.core.causes import Cause
 from repro.runlog import RunCoverage
 from repro.runtime import Executor, StageTimings
@@ -181,8 +181,9 @@ def run_sweep(
     """Run every cell of ``spec`` and collect the summaries.
 
     One executor (the caller's, or one built from the base config) is
-    shared across all cells; only when the grid sweeps the ``executor``
-    or ``parallelism`` fields does each cell build its own.  The cache,
+    shared across all cells; only when the caller passes none and the
+    grid sweeps an execution-only field (``executor``, ``parallelism``)
+    does each cell build its own.  The cache,
     when given, is shared too — cells with common stage configurations
     (same crawl under different lifetime models, re-runs of a warm
     sweep) skip the corresponding work entirely.
@@ -194,9 +195,7 @@ def run_sweep(
     """
     cells = spec.cells()
     axis_names = {name for name, _ in spec.axes}
-    per_cell_executors = (
-        executor is None and bool({"executor", "parallelism"} & axis_names)
-    )
+    per_cell_executors = executor is None and bool(EXECUTION_ONLY & axis_names)
     owns_shared = executor is None and not per_cell_executors
     shared = (
         executor if executor is not None

@@ -40,30 +40,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields, replace
 
-from repro.analysis.study import StudyConfig
+from repro.analysis.study import TEXT_PARSERS, StudyConfig
 
-__all__ = ["SweepCell", "SweepSpec"]
-
-
-def _plus_tuple(text: str) -> tuple[str, ...]:
-    return tuple(part for part in text.split("+") if part)
-
-
-#: CLI value parsers per sweepable StudyConfig field.
-_AXIS_PARSERS = {
-    "n_sites": int,
-    "alexa_share": float,
-    "ha_sample_share": float,
-    "dns_study_days": float,
-    "executor": str,
-    "parallelism": int,
-    "har_models": _plus_tuple,
-    "alexa_variants": _plus_tuple,
-    "fault_profile": str,
-    "epochs": int,
-    "evolution_policy": str,
-    "h3_profile": str,
-    "shards": int,
+#: ``--grid`` value parsers: every field with a text form (seeds sweep
+#: via ``seeds``), parsed as its type annotation says.
+_GRID_PARSERS = {
+    spec.name: TEXT_PARSERS[spec.type] for spec in fields(StudyConfig)
+    if spec.type in TEXT_PARSERS and spec.name != "seed"
 }
 
 _CONFIG_FIELDS = frozenset(spec.name for spec in fields(StudyConfig))
@@ -143,11 +126,11 @@ class SweepSpec:
                 raise ValueError(
                     f"bad grid axis {spec!r}; expected field=value1,value2"
                 )
-            parser = _AXIS_PARSERS.get(name)
+            parser = _GRID_PARSERS.get(name)
             if parser is None:
                 raise ValueError(
                     f"field {name!r} is not sweepable from the CLI; "
-                    f"choose from {sorted(_AXIS_PARSERS)}"
+                    f"choose from {sorted(_GRID_PARSERS)}"
                 )
             try:
                 values = tuple(

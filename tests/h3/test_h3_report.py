@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.h3 import h3_report
 from repro.analysis.resilience import resilience_report
+from repro.runlog import RunCoverage
 
 pytestmark = pytest.mark.slow
 
@@ -52,14 +53,14 @@ class TestH3Report:
 
 
 #: Each twin report with its variant fixture and the axis it varies.
-_TWIN_REPORTS = [
+_over_twin_reports = pytest.mark.parametrize("report, variant_fixture, axis", [
     pytest.param(h3_report, "h3_golden_study", "h3_profile", id="h3"),
     pytest.param(resilience_report, "faulted_golden_study", "fault_profile",
                  id="resilience"),
-]
+])
 
 
-@pytest.mark.parametrize("report, variant_fixture, axis", _TWIN_REPORTS)
+@_over_twin_reports
 class TestInputValidation:
     def test_baseline_must_be_profile_none(self, request, report,
                                            variant_fixture, axis):
@@ -76,3 +77,20 @@ class TestInputValidation:
         )
         with pytest.raises(ValueError, match=f"differ beyond {axis}"):
             report(golden_study, mismatched)
+
+
+@_over_twin_reports
+class TestCoverageCaveats:
+    def test_partial_variant_run_is_called_out(self, request, golden_study,
+                                               report, variant_fixture,
+                                               axis):
+        variant = request.getfixturevalue(variant_fixture)
+        partial = replace(variant, coverage=RunCoverage(
+            shards_total=4, shards_ok=3, shards_quarantined=1,
+            excluded_domains=("a.example",),
+        ))
+        result = report(golden_study, partial)
+        assert result.render() == report(golden_study, variant).render() + (
+            f"\n\nCoverage caveat: {result.variant_label} run is PARTIAL "
+            "(3/4 shards ok, 1 quarantined, 1 domain(s) excluded)"
+        )

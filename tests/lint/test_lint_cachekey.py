@@ -8,11 +8,13 @@ the stage-key derivations turns the run red.
 from __future__ import annotations
 
 import shutil
+from dataclasses import fields
 
 import pytest
 
+from repro.analysis.study import StudyConfig
 from repro.lint import Project
-from repro.lint.rules import STUDY_CONFIG_EXEMPTIONS, CacheKeyRule
+from repro.lint.rules import CacheKeyRule
 
 
 def _rule(**kwargs):
@@ -22,7 +24,6 @@ def _rule(**kwargs):
         key_function_names=("stage_key",),
         router_methods=("ecosystem_config",),
         router_witness="config",
-        exemptions={},
     )
     defaults.update(kwargs)
     return CacheKeyRule(**defaults)
@@ -104,30 +105,38 @@ class TestConsumption:
         assert finding.message.startswith("Config.noise")
 
 
+def _exempting(reason: str) -> str:
+    """CONFIG with ``workers`` declared under the exemption ``reason``."""
+    return CONFIG.replace(
+        "workers: int = 4",
+        f"workers: int = field(default=4, metadata=dict(cache_exempt={reason}))",
+    )
+
+
+_NOISE_ONLY_KEYS = """\
+    def stage_key(config):
+        return ("k", config.seed, config.noise)
+"""
+
+
 class TestExemptionTable:
     def test_exemption_suppresses(self, make_project):
         project = make_project({
-            "config.py": CONFIG,
-            "keys.py": """\
-                def stage_key(config):
-                    return ("k", config.seed, config.noise)
-            """,
+            "config.py": _exempting('"wall clock only"'),
+            "keys.py": _NOISE_ONLY_KEYS,
         })
-        rule = _rule(exemptions={"workers": "wall clock only"})
-        assert list(rule.check(project)) == []
+        assert list(_rule().check(project)) == []
 
-    def test_stale_exemption_fires(self, make_project):
+    @pytest.mark.parametrize("reason", ['""', "REASON", "None"])
+    def test_exemption_needs_a_literal_reason(self, make_project, reason):
+        # The reason is read statically, so only a non-empty string
+        # literal in the declaration itself counts.
         project = make_project({
-            "config.py": CONFIG,
-            "keys.py": """\
-                def stage_key(config):
-                    return ("k", config.seed, config.noise, config.workers)
-            """,
+            "config.py": _exempting(reason),
+            "keys.py": _NOISE_ONLY_KEYS,
         })
-        rule = _rule(exemptions={"retired_knob": "no longer exists"})
-        (finding,) = rule.check(project)
-        assert "stale cache-key exemption" in finding.message
-        assert "retired_knob" in finding.message
+        (finding,) = _rule().check(project)
+        assert finding.message.startswith("Config.workers")
 
     def test_missing_config_module_skips(self, make_project):
         # Subtree lints that exclude the config module are inapplicable,
@@ -199,9 +208,19 @@ class TestAgainstRealSources:
             "StudyConfig.fault_profile" in f.message for f in findings
         ), [f.message for f in findings]
 
-    def test_exemption_table_matches_the_live_config(self, real_tree):
-        # Every exemption names a real field (no stale entries) — the
-        # pristine pass above already proves the inverse direction.
-        source = (real_tree / "src/repro/analysis/study.py").read_text()
-        for name in STUDY_CONFIG_EXEMPTIONS:
-            assert f"{name}:" in source
+    def test_exemptions_match_the_runtime_metadata(self, real_tree):
+        # What the rule reads from the source is what the dataclass
+        # carries at run time: the exempt fields, and nothing else.
+        project = Project.load(real_tree, ["src"])
+        rule = CacheKeyRule()
+        module = project.module(rule.config_rel)
+        static = {
+            name for name, _, exempt in rule._fields(
+                rule._class_def(module.tree)
+            ) if exempt
+        }
+        assert static == {
+            spec.name for spec in fields(StudyConfig)
+            if spec.metadata["cache_exempt"]
+        }
+        assert "executor" in static and "fault_profile" not in static
