@@ -249,7 +249,8 @@ class StudyConfig:
         )
 
     def validate(self) -> None:
-        """Reject bad executor specs, lifetime models and Alexa variants.
+        """Reject bad executor specs, lifetime models, Alexa variants and
+        unregistered profile or policy names.
 
         Everything a sweep axis can set is checked here, so grid cells
         fail fast (and CLI-cleanly) before any study work starts.

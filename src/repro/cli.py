@@ -39,7 +39,8 @@ from functools import partial
 
 from repro.analysis.h3 import h3_report
 from repro.analysis.resilience import resilience_report
-from repro.analysis.study import EXECUTION_ONLY, TEXT_PARSERS, StudyConfig
+from repro.analysis.study import EXECUTION_ONLY, TEXT_PARSERS, Study, StudyConfig
+from repro.store import StudyCache
 
 __all__ = ["build_parser", "main"]
 
@@ -122,8 +123,6 @@ def _prelude(args, **overrides):
     config = _config_from_args(args, **overrides)
     cache = None
     if args.cache_dir is not None:
-        from repro.store import StudyCache
-
         cache = StudyCache(args.cache_dir)
     elif args.resume:
         raise _UsageError("--resume requires --cache-dir (the journal "
@@ -159,7 +158,6 @@ def _required(args, config: StudyConfig, flag: str):
 
 def _study_from_args(args):
     """Run the full study as configured by the common CLI flags."""
-    from repro.analysis.study import Study
     from repro.runtime import StageTimings, null_timings
 
     timings = (
@@ -399,8 +397,7 @@ def _cmd_study(args) -> int:
         ]
         for name in names:
             if name not in ALL_TABLES:
-                print(f"unknown table: {args.table}", file=sys.stderr)
-                return 2
+                raise _UsageError(f"unknown table: {args.table}")
             print(ALL_TABLES[name](study).render())
             print()
         shown = True
@@ -548,8 +545,6 @@ def _cmd_validate(args) -> int:
 def _cmd_twin(args, *, flag: str, report) -> int:
     """Run the study ``flag`` varies and its baseline twin (the flag at
     its default), and print ``report``'s diff of the two."""
-    from repro.analysis.study import Study
-
     config, executor, cache = _prelude(args)
     spec = _FLAGS[flag]
     with executor:
