@@ -36,9 +36,8 @@ import random
 import sys
 from dataclasses import fields, replace
 from functools import partial
+from importlib import import_module
 
-from repro.analysis.h3 import h3_report
-from repro.analysis.resilience import resilience_report
 from repro.analysis.study import EXECUTION_ONLY, TEXT_PARSERS, Study, StudyConfig
 from repro.store import StudyCache
 
@@ -58,11 +57,11 @@ class _UsageError(Exception):
 
 
 def _add_runtime_args(
-    parser: argparse.ArgumentParser, *, aliases=None, defaults=None
+    parser: argparse.ArgumentParser, *, aliases=None
 ) -> None:
     """Study-axis, executor and cache knobs shared by every study-running
-    command; ``aliases``/``defaults`` are keyed by a study flag."""
-    aliases, defaults = aliases or {}, defaults or {}
+    command; ``aliases`` is keyed by a study flag."""
+    aliases = aliases or {}
     # SUPPRESS: only overwrite the root parser's --seed when the flag
     # is actually given after the subcommand.
     parser.add_argument(
@@ -75,7 +74,7 @@ def _add_runtime_args(
             flag, *aliases.get(flag, ()), dest=spec.name,
             metavar=flag[2:].upper().replace("-", "_"),
             type=TEXT_PARSERS[spec.type],
-            default=defaults.get(flag, spec.default),
+            default=spec.default,
             help=spec.metadata["help"].format(
                 names=", ".join(names()) if names else ""
             ),
@@ -272,10 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--sites", type=int, default=200)
     # For evolve, --epochs is the longitudinal horizon, not a world
     # offset; default to a 5-epoch sequence (0 = baseline study only).
-    _add_runtime_args(
-        evolve, aliases={"--evolution-policy": ("--policy",)},
-        defaults={"--epochs": 5},
-    )
+    _add_runtime_args(evolve, aliases={"--evolution-policy": ("--policy",)})
+    evolve.set_defaults(**{_FLAGS["--epochs"].name: 5})
 
     bench = commands.add_parser(
         "bench",
@@ -542,9 +539,12 @@ def _cmd_validate(args) -> int:
     return 0 if scorecard.all_passed else 1
 
 
-def _cmd_twin(args, *, flag: str, report) -> int:
+def _cmd_twin(args, *, flag: str, report: str) -> int:
     """Run the study ``flag`` varies and its baseline twin (the flag at
-    its default), and print ``report``'s diff of the two."""
+    its default), and print the diff of the two that ``report`` (the
+    dotted name of a report function) renders."""
+    module, _, name = report.rpartition(".")
+    report = getattr(import_module(module), name)
     config, executor, cache = _prelude(args)
     spec = _FLAGS[flag]
     with executor:
@@ -775,9 +775,12 @@ _COMMANDS = {
     "report": _cmd_report,
     "validate": _cmd_validate,
     "resilience": partial(
-        _cmd_twin, flag="--fault-profile", report=resilience_report
+        _cmd_twin, flag="--fault-profile",
+        report="repro.analysis.resilience.resilience_report",
     ),
-    "h3": partial(_cmd_twin, flag="--h3-profile", report=h3_report),
+    "h3": partial(
+        _cmd_twin, flag="--h3-profile", report="repro.analysis.h3.h3_report"
+    ),
     "evolve": _cmd_evolve,
     "bench": _cmd_bench,
     "lint": _cmd_lint,

@@ -38,6 +38,10 @@ from repro.lint.findings import Finding
 
 __all__ = ["CacheKeyRule"]
 
+#: The keyword whose string literal, inside a field's declaration,
+#: exempts the field and says why.
+_EXEMPTION_KEYWORD = "cache_exempt"
+
 
 @dataclass
 class CacheKeyRule:
@@ -66,9 +70,6 @@ class CacheKeyRule:
     #: The attribute a key function must read for router coverage to
     #: apply (the world-identity object cache_world_key hashes).
     router_witness: str = "config"
-    #: The keyword whose string literal, inside a field's declaration,
-    #: exempts the field and says why.
-    exemption_keyword: str = "cache_exempt"
 
     # ------------------------------------------------------------------
     def check(self, project: Project) -> Iterable[Finding]:
@@ -122,7 +123,7 @@ class CacheKeyRule:
         return [
             (statement.target.id, statement.lineno, any(
                 isinstance(node, ast.keyword)
-                and node.arg == self.exemption_keyword
+                and node.arg == _EXEMPTION_KEYWORD
                 and isinstance(node.value, ast.Constant)
                 and isinstance(node.value.value, str)
                 and node.value.value.strip() != ""
