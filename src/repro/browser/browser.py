@@ -2,10 +2,13 @@
 
 One :class:`ChromiumBrowser` models the paper's measurement browser:
 QUIC disabled, field trials disabled (everything deterministic from the
-seed), caches and cookies reset per visit, NetLog recording on.  The
-``ignore_privacy_mode`` option is the paper's Chromium patch for the
-"Alexa w/o Fetch" run (§5.3.3); ``honor_origin_frame`` is the RFC 8336
-ablation Chromium itself does not implement [17].
+seed), caches and cookies reset per visit.  What a visit captures
+follows the crawl's method: the HTTP Archive pipeline serialises the
+visit's connections into a HAR and switches NetLog recording off, the
+Alexa pipeline parses the NetLog.  The ``ignore_privacy_mode`` option
+is the paper's Chromium patch for the "Alexa w/o Fetch" run (§5.3.3);
+``honor_origin_frame`` is the RFC 8336 ablation Chromium itself does
+not implement [17].
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ class Visit:
     started_at: float
     load: PageLoadResult | None
     connections: list[Http2Connection]
+    #: Empty when the visit ran with ``record_netlog=False``.
     netlog: NetLog
     observed_until: float
     unreachable: bool = False
@@ -102,11 +106,15 @@ class ChromiumBrowser:
     #: leaves every layer on its pre-fault code path.
     faults: "FaultPlan | None" = None
 
-    def visit(self, url_or_domain: str) -> Visit:
+    def visit(self, url_or_domain: str, *, record_netlog: bool = True) -> Visit:
         """Visit a page; caches/cookies are per-visit.
 
         Accepts a bare domain (landing page) or a URL/path such as
-        ``site.com/page/1`` to visit an internal page.
+        ``site.com/page/1`` to visit an internal page.  With
+        ``record_netlog=False`` no layer emits NetLog events and
+        ``Visit.netlog`` stays empty; the connections, their request
+        log and every RNG draw are the same either way, so the HAR of
+        the visit does not change.
         """
         stripped = url_or_domain.removeprefix("https://").rstrip("/")
         domain, _, path_part = stripped.partition("/")
@@ -114,12 +122,14 @@ class ChromiumBrowser:
         del stripped
         started = self.clock.now()
         netlog = NetLog()
-        netlog.emit(
-            NetLogEventType.PAGE_LOAD_START,
-            time=started,
-            source_id=0,
-            url=f"https://{domain}/",
-        )
+        recorder = netlog if record_netlog else None
+        if recorder is not None:
+            recorder.emit(
+                NetLogEventType.PAGE_LOAD_START,
+                time=started,
+                source_id=0,
+                url=f"https://{domain}/",
+            )
 
         site = self.ecosystem.website(domain)
         document = site.document_for(path) if site is not None else None
@@ -151,7 +161,7 @@ class ChromiumBrowser:
         pool = ConnectionPool(
             server_lookup=server_lookup,
             rng=random.Random(self.rng.random()),
-            netlog=netlog,
+            netlog=recorder,
             ignore_privacy_mode=self.config.ignore_privacy_mode,
             honor_origin_frame=self.config.honor_origin_frame,
             enable_quic=not self.config.disable_quic,
@@ -167,13 +177,13 @@ class ChromiumBrowser:
             clock=self.clock,
             rng=random.Random(self.rng.random()),
             cookies=CookieJar(),
-            netlog=netlog,
+            netlog=recorder,
             geo_rewrites=self.ecosystem.geo_rewrites(self.config.vantage_country),
             faults=self.faults,
         )
         load = loader.load(document)
 
-        observed_until = self._observe(pool, netlog, started)
+        observed_until = self._observe(pool, recorder, started)
         return Visit(
             url=site.url,
             domain=domain,
@@ -185,7 +195,9 @@ class ChromiumBrowser:
             unreachable=False,
         )
 
-    def _observe(self, pool: ConnectionPool, netlog: NetLog, started: float) -> float:
+    def _observe(
+        self, pool: ConnectionPool, netlog: NetLog | None, started: float
+    ) -> float:
         """Dwell on the page; a few servers close sessions early."""
         end = started + self.config.observe_s
         for session in pool.sessions:
@@ -207,17 +219,18 @@ class ChromiumBrowser:
                     # An injected GOAWAY/RST can strike the keepalive;
                     # late activity on that session simply never lands.
                     continue
-                netlog.emit(
-                    NetLogEventType.HTTP2_STREAM,
-                    time=record.started_at,
-                    source_id=session.connection_id,
-                    url=record.url,
-                    method=record.method,
-                    status=record.status,
-                    with_credentials=record.with_credentials,
-                    finished=record.finished_at,
-                    body_size=record.body_size,
-                )
+                if netlog is not None:
+                    netlog.emit(
+                        NetLogEventType.HTTP2_STREAM,
+                        time=record.started_at,
+                        source_id=session.connection_id,
+                        url=record.url,
+                        method=record.method,
+                        status=record.status,
+                        with_credentials=record.with_credentials,
+                        finished=record.finished_at,
+                        body_size=record.body_size,
+                    )
         for session in pool.sessions:
             if not session.is_open:
                 continue
@@ -229,17 +242,18 @@ class ChromiumBrowser:
                 close_at = session.created_at + lifetime
                 if close_at < end:
                     session.receive_goaway(now=close_at)
-                    netlog.emit(
-                        NetLogEventType.HTTP2_SESSION_RECV_GOAWAY,
-                        time=close_at,
-                        source_id=session.connection_id,
-                    )
-                    netlog.emit(
-                        NetLogEventType.HTTP2_SESSION_CLOSE,
-                        time=close_at,
-                        source_id=session.connection_id,
-                        reason="goaway",
-                    )
+                    if netlog is not None:
+                        netlog.emit(
+                            NetLogEventType.HTTP2_SESSION_RECV_GOAWAY,
+                            time=close_at,
+                            source_id=session.connection_id,
+                        )
+                        netlog.emit(
+                            NetLogEventType.HTTP2_SESSION_CLOSE,
+                            time=close_at,
+                            source_id=session.connection_id,
+                            reason="goaway",
+                        )
         self.clock.advance_to(max(self.clock.now(), end))
         pool.close_all(now=end, reason="test-end")
         return end

@@ -99,7 +99,8 @@ def _crawl_one_site(
     gap_rng = rng.stream("gaps")
     visits = []
     for _ in range(task.loads_per_site):
-        visit = browser.visit(task.domain)
+        # The HAR is this method's capture; nothing reads a NetLog here.
+        visit = browser.visit(task.domain, record_netlog=False)
         if visit.unreachable:
             break
         visits.append(visit)

@@ -4,8 +4,10 @@ An :class:`Http2Connection` is the unit of observation of the whole
 study: the paper counts connections, groups them by destination IP,
 inspects their certificate SANs and their initially used domain, and
 asks which of them were redundant.  The connection therefore records
-exactly those observables, plus the stream/request log that the HAR and
-NetLog pipelines serialise.
+exactly those observables, plus the request log that the HAR and NetLog
+pipelines serialise.  Streams are a sequence number and an open count,
+not objects: no study reads per-stream state, and HPACK byte accounting
+lives in :mod:`repro.perf.estimator`.
 
 Server interaction goes through the small :class:`ServerEndpoint`
 protocol implemented by ``repro.web.server.OriginServer`` — including
@@ -21,9 +23,8 @@ from typing import TYPE_CHECKING, Protocol
 
 from repro.faults.plan import FaultKind
 from repro.h2.errors import H2Error
-from repro.h2.hpack import HpackDecoder, HpackEncoder
 from repro.h2.settings import Http2Settings
-from repro.h2.stream import Http2Stream, StreamResetError
+from repro.h2.stream import StreamResetError
 from repro.tls.certificate import Certificate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,7 +104,6 @@ class Http2Connection:
     remote_settings: Http2Settings = field(default=_DEFAULT_SETTINGS)
     closed_at: float | None = None
     goaway_received: bool = False
-    streams: dict[int, Http2Stream] = field(default_factory=dict)
     requests: list[RequestRecord] = field(default_factory=list)
     origin_set: set[str] = field(default_factory=set)
     misdirected_domains: set[str] = field(default_factory=set)
@@ -121,26 +121,11 @@ class Http2Connection:
             raise ValueError(
                 f"connection IP {self.remote_ip} does not match server {self.server.ip}"
             )
-        self._encoder = HpackEncoder(self.remote_settings.header_table_size)
-        self._decoder_instance: HpackDecoder | None = None
         self._open_streams = 0
         self._last_activity = self.created_at
         # RFC 8336: the server may advertise additional origins at
         # session start; whether the client *uses* them is browser policy.
         self.origin_set.update(self.server.advertised_origins())
-
-    @property
-    def _decoder(self) -> HpackDecoder:
-        """The receive-direction HPACK state, built on first use.
-
-        The study's request path only ever exercises the encoder, so
-        most connections never pay for a second dynamic table.
-        """
-        if self._decoder_instance is None:
-            self._decoder_instance = HpackDecoder(
-                self.local_settings.header_table_size
-            )
-        return self._decoder_instance
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -164,9 +149,6 @@ class Http2Connection:
         """Client-side close (or idle timeout)."""
         if self.closed_at is None:
             self.closed_at = now
-            for stream in self.streams.values():
-                if not stream.is_closed:
-                    stream.reset(now=now)
             self._open_streams = 0
 
     def receive_goaway(self, *, now: float) -> None:
@@ -178,10 +160,10 @@ class Http2Connection:
     def apply_remote_settings(self, settings: Http2Settings) -> None:
         """A SETTINGS frame from the peer replaces its parameters.
 
-        Only the stream-admission limits take effect here; HPACK table
-        resizes would need a table-size-update on the next header block,
-        which the byte-accounting encoder does not model, so the header
-        table size is pinned to the value negotiated at session start.
+        Only the stream-admission limits take effect here; the request
+        path encodes no header blocks, so an HPACK table resize has
+        nothing to act on and the header table size stays pinned to the
+        value negotiated at session start.
         """
         self.remote_settings = replace(
             settings,
@@ -211,7 +193,6 @@ class Http2Connection:
         now: float,
         method: str = "GET",
         with_credentials: bool = False,
-        extra_headers: list[tuple[str, str]] | None = None,
         service_time: float = 0.0,
     ) -> RequestRecord:
         """Multiplex one request over this connection.
@@ -247,41 +228,26 @@ class Http2Connection:
             raise ConnectionClosedError(
                 f"connection {self.connection_id} is at MAX_CONCURRENT_STREAMS"
             )
-        stream = Http2Stream(stream_id=self._next_stream_id)
+        stream_id = self._next_stream_id
         self._next_stream_id += 2
-        self.streams[stream.stream_id] = stream
         self._open_streams += 1
-
-        headers = [
-            (":method", method),
-            (":scheme", "https"),
-            (":authority", domain),
-            (":path", path),
-        ]
-        if with_credentials:
-            headers.append(("cookie", f"session={domain}"))
-        headers.extend(extra_headers or [])
-        self._encoder.encode(headers)  # byte accounting for HPACK studies
-        stream.send_request(headers, now=now)
 
         if faults is not None and faults.fires(FaultKind.H2_RST_STREAM):
             # RST_STREAM after HEADERS went out: the stream dies, the
             # session survives.  No RequestRecord is produced — exactly
             # like a NetLog that never sees the response events.
-            stream.reset(now=now)
             self._open_streams -= 1
             raise StreamResetError(
-                f"stream {stream.stream_id} on connection "
+                f"stream {stream_id} on connection "
                 f"{self.connection_id} reset by peer"
             )
 
-        status, response_headers, body_size = self.server.handle_request(
+        status, _, body_size = self.server.handle_request(
             domain, path, method=method, credentials=with_credentials
         )
         finished = now + service_time
-        stream.receive_response(status, response_headers, now=finished)
-        if stream.is_closed:
-            self._open_streams -= 1
+        # The response HEADERS carry END_STREAM: the stream is closed.
+        self._open_streams -= 1
         if finished > self._last_activity:
             self._last_activity = finished
 
@@ -299,7 +265,7 @@ class Http2Connection:
             started_at=now,
             finished_at=finished,
             with_credentials=with_credentials,
-            stream_id=stream.stream_id,
+            stream_id=stream_id,
             body_size=body_size,
         )
         self.requests.append(record)
@@ -308,18 +274,6 @@ class Http2Connection:
     # ------------------------------------------------------------------
     # Introspection used by the classifier / reports
     # ------------------------------------------------------------------
-    @property
-    def hpack_compression_ratio(self) -> float:
-        return self._encoder.compression_ratio
-
-    @property
-    def hpack_bytes_emitted(self) -> int:
-        return self._encoder.bytes_emitted
-
-    @property
-    def hpack_bytes_uncompressed(self) -> int:
-        return self._encoder.bytes_uncompressed
-
     def last_activity(self) -> float:
         """Timestamp of the most recent request completion (or creation)."""
         return self._last_activity

@@ -54,11 +54,11 @@ def _response(
 
     Responses are a pure function of (domain, path, cookie?, server
     name), so the header list is built once per shape and handed out as
-    the same object; callers copy what they keep (Http2Stream stores
-    ``list(headers)``).  ``lru_cache`` replaces the per-server memo dict
-    the pre-lint code used: ecosystem servers are shared across
-    thread-executor crawl tasks, and an unguarded dict write from two
-    sites hitting the same endpoint concurrently was a data race.
+    the same object, which callers must not mutate.  ``lru_cache``
+    replaces the per-server memo dict the pre-lint code used: ecosystem
+    servers are shared across thread-executor crawl tasks, and an
+    unguarded dict write from two sites hitting the same endpoint
+    concurrently was a data race.
     """
     body_size = _body_size(domain, path)
     headers = [

@@ -212,8 +212,11 @@ class TestConnectionHooks:
         assert connection.is_open
         assert connection.open_stream_count() == 0
         assert connection.requests == []  # no record for the dead stream
-        # The stream id was consumed, like a real sequence number.
-        assert connection.streams[1].is_closed
+        # Stream 1 was consumed, like a real sequence number: the next
+        # successful request goes out on stream 3.
+        connection.faults = None
+        record = connection.perform_request("example.com", "/", now=2.0)
+        assert record.stream_id == 3
 
     def test_settings_churn_quiesces_session(self):
         connection = self._connection(
